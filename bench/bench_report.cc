@@ -808,6 +808,22 @@ int CountProcessThreads() {
   return threads;
 }
 
+// CountProcessThreads once it has settled: a thread can still be listed for a moment
+// after join() returns, so poll until two consecutive reads agree (for at most 1 s).
+int SettledProcessThreads() {
+  const double deadline = NowSeconds() + 1.0;
+  int previous = CountProcessThreads();
+  while (NowSeconds() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const int current = CountProcessThreads();
+    if (current == previous) {
+      return current;
+    }
+    previous = current;
+  }
+  return previous;
+}
+
 // The connection-scaling sweep: one loopback PlanServer with a fixed IO-thread pool,
 // N in {1, 16, 64, 256} concurrent connections all replaying the same warm shape, a
 // small fixed pool of closed-loop driver threads round-robining over them (so the
@@ -983,7 +999,7 @@ std::vector<ServiceScalingRow> MeasureServiceScaling(DatasetKind dataset, MaskKi
     const double elapsed = NowSeconds() - sweep_start;
     // All N sockets are still open here: a thread-per-connection server would show
     // N reader threads in this count.
-    row.process_threads = CountProcessThreads();
+    row.process_threads = SettledProcessThreads();
     std::vector<double> all;
     for (const std::vector<double>& part : samples) {
       all.insert(all.end(), part.begin(), part.end());
@@ -1324,8 +1340,8 @@ int Main(int argc, char** argv) {
   std::vector<ServiceRow> service;
   const int service_repeats = smoke ? 5 : 8;
   // Smoke drops the block size further than warm_start: the service hit path pays RPC
-  // + record decode + mask rebuild, so the cold plan must be decisively expensive for
-  // the row to measure planning displacement rather than loopback latency.
+  // + record decode, so the cold plan must be decisively expensive for the row to
+  // measure planning displacement rather than loopback latency.
   service.push_back(MeasureService(DatasetKind::kLongAlign, MaskKind::kCausal,
                                    smoke ? 128 : 512, service_repeats, budget,
                                    testbed));

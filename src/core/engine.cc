@@ -240,7 +240,7 @@ PlanHandle Engine::StoreLookup(const PlanSignature& sig,
   auto compiled = std::make_shared<CompiledPlan>();
   compiled->signature = sig;
   compiled->plan = std::move(loaded).value();
-  // Masks are derived, not persisted: rebuilding them is O(tokens), planning is not.
+  // Masks are derived, not persisted: rebuilding them is O(sequences), planning is not.
   // This is the one disk-hit-path copy of the seqlens; the memory-hit path above never
   // materializes them.
   const std::vector<int64_t> owned(seqlens.begin(), seqlens.end());
@@ -297,9 +297,8 @@ StatusOr<PlanHandle> Engine::PlanWithBlockSize(std::span<const int64_t> seqlens,
   if (origin != nullptr) {
     *origin = PlanOrigin::kFresh;
   }
-  // Materialize only on the fresh-plan path: mask building and the planner are
-  // O(tokens)-and-up, so one vector copy is noise there, while the hit path above
-  // stayed copy-free.
+  // Copy only on the fresh-plan path: the planner is O(tokens)-and-up, so one vector
+  // copy is noise there, while the hit path above stayed copy-free.
   const std::vector<int64_t> owned(seqlens.begin(), seqlens.end());
   auto compiled = std::make_shared<CompiledPlan>();
   compiled->signature = sig;

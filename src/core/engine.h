@@ -38,9 +38,10 @@
 
 namespace dcp {
 
-// An immutable compiled plan: the instruction streams plus the materialized masks they
-// were planned against and the signature that identifies both. Shared by the cache, the
-// lookahead queue, and the executor; never mutated after construction.
+// An immutable compiled plan: the instruction streams plus the masks they were planned
+// against (O(1)-per-sequence descriptors that compute their ranges on demand) and the
+// signature that identifies both. Shared by the cache, the lookahead queue, and the
+// executor; never mutated after construction.
 struct CompiledPlan {
   PlanSignature signature;
   BatchPlan plan;

@@ -33,7 +33,7 @@ Tensor ReferenceAttentionForward(const SeqTensors& inputs, const SequenceMask& m
   for (int64_t h = 0; h < heads; ++h) {
     const int64_t g = h / heads_per_group;
     for (int64_t t = 0; t < length; ++t) {
-      const RangePair& ranges = mask.ranges(t);
+      const RangePair ranges = mask.ranges(t);
       const float* q_row = inputs.q.data() + (h * length + t) * d;
       float max_score = -std::numeric_limits<float>::infinity();
       auto for_each_k = [&](auto&& fn) {
@@ -94,7 +94,7 @@ SeqGrads ReferenceAttentionBackward(const SeqTensors& inputs, const SequenceMask
   for (int64_t h = 0; h < heads; ++h) {
     const int64_t g = h / heads_per_group;
     for (int64_t t = 0; t < length; ++t) {
-      const RangePair& ranges = mask.ranges(t);
+      const RangePair ranges = mask.ranges(t);
       const float* q_row = inputs.q.data() + (h * length + t) * d;
       const float* do_row = dout.data() + (h * length + t) * d;
       const float* o_row = out.data() + (h * length + t) * d;

@@ -289,7 +289,7 @@ StatusOr<PlanHandle> PlanClient::PlanWithBlockSize(const std::vector<int64_t>& s
   compiled->signature = sig;
   compiled->plan = std::move(record).value().second;
   // Masks are derived deterministically from the request, exactly as the engine's
-  // store-hit path rebuilds them: rebuilding is O(tokens), shipping them is not.
+  // store-hit path rebuilds them: rebuilding is O(sequences), shipping them is not.
   compiled->masks = BuildBatchMasks(mask_spec, seqlens);
   PlanHandle handle = std::move(compiled);
   CacheInsert(key, handle);
