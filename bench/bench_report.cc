@@ -31,9 +31,12 @@
 #include "service/replica_set.h"
 #include "service/tenant_registry.h"
 #include "service/transport.h"
+#include "tests/plan_test_util.h"
 
 namespace dcp {
 namespace {
+
+using plan_test::Timeless;
 
 double NowSeconds() {
   return std::chrono::duration<double>(
@@ -328,13 +331,13 @@ WarmStartRow MeasureWarmStart(DatasetKind dataset, MaskKind mask, int64_t block_
   row.k = cluster.num_devices();
   row.repeats = repeats;
 
-  std::string cold_serialized;
+  BatchPlan cold_plan;
   {
     Engine writer(cluster, engine_options);
     const double start = NowSeconds();
     const PlanHandle cold = writer.Plan(batch.seqlens, spec).value();
     row.cold_ms = (NowSeconds() - start) * 1e3;
-    cold_serialized = SerializePlan(cold->plan);
+    cold_plan = cold->plan;
     if (writer.cache_stats().store_writes < 1) {
       std::fprintf(stderr, "bench_report: cold plan was not written to the store\n");
       std::exit(1);
@@ -351,7 +354,7 @@ WarmStartRow MeasureWarmStart(DatasetKind dataset, MaskKind mask, int64_t block_
       std::fprintf(stderr, "bench_report: warm start was not served from the store\n");
       std::exit(1);
     }
-    if (SerializePlan(warm->plan) != cold_serialized) {
+    if (warm->plan != cold_plan) {
       std::fprintf(stderr,
                    "bench_report: store-served plan differs from the cold plan\n");
       std::exit(1);
@@ -372,15 +375,6 @@ WarmStartRow MeasureWarmStart(DatasetKind dataset, MaskKind mask, int64_t block_
     std::exit(1);
   }
   return row;
-}
-
-// Everything in a plan is deterministic except stats.planning_seconds (a wall-clock
-// measurement of the producing run); zero it before bit-identity comparisons between
-// independent planning runs.
-std::string SerializeTimeless(const BatchPlan& plan) {
-  BatchPlan copy = plan;
-  copy.stats.planning_seconds = 0.0;
-  return SerializePlan(copy);
 }
 
 // The planning-service row: one loopback PlanServer, measuring the full remote tier
@@ -458,13 +452,13 @@ ServiceRow MeasureService(DatasetKind dataset, MaskKind mask, int64_t block_size
   row.repeats = repeats;
 
   // In-process baseline on an identically-configured private engine.
-  std::string expected;
+  BatchPlan expected;
   {
     Engine local(cluster, tenant_options);
     const double start = NowSeconds();
     const PlanHandle cold = local.Plan(batch.seqlens, spec).value();
     row.in_process_cold_ms = (NowSeconds() - start) * 1e3;
-    expected = SerializeTimeless(cold->plan);
+    expected = Timeless(cold->plan);
   }
 
   // Cold remote planning: first sighting of the shape anywhere in the service.
@@ -478,7 +472,7 @@ ServiceRow MeasureService(DatasetKind dataset, MaskKind mask, int64_t block_size
       std::fprintf(stderr, "bench_report: cold remote plan was not freshly planned\n");
       std::exit(1);
     }
-    if (SerializeTimeless(cold.value()->plan) != expected) {
+    if (Timeless(cold.value()->plan) != expected) {
       std::fprintf(stderr,
                    "bench_report: remote plan differs from in-process planning\n");
       std::exit(1);
@@ -511,7 +505,7 @@ ServiceRow MeasureService(DatasetKind dataset, MaskKind mask, int64_t block_size
                    "bench_report: repeat was not served from the server cache\n");
       std::exit(1);
     }
-    if (SerializeTimeless(hit.value()->plan) != expected) {
+    if (Timeless(hit.value()->plan) != expected) {
       std::fprintf(stderr, "bench_report: server-cache hit not bit-identical\n");
       std::exit(1);
     }
@@ -605,9 +599,9 @@ ReplicatedServiceRow MeasureReplicatedService(DatasetKind dataset, MaskKind mask
                       3 * block_size + 16 * (i % 7)});
   }
   Engine local(cluster, tenant_options);
-  std::vector<std::string> expected;
+  std::vector<BatchPlan> expected;
   for (const auto& shape : shapes) {
-    expected.push_back(SerializeTimeless(local.Plan(shape, spec).value()->plan));
+    expected.push_back(Timeless(local.Plan(shape, spec).value()->plan));
   }
 
   // The fleet: three replicas, one shared tenant config, one injector each (rates are
@@ -694,7 +688,7 @@ ReplicatedServiceRow MeasureReplicatedService(DatasetKind dataset, MaskKind mask
                      plan.status().ToString().c_str());
         std::exit(1);
       }
-      if (SerializeTimeless(plan.value()->plan) != expected[i]) {
+      if (Timeless(plan.value()->plan) != expected[i]) {
         std::fprintf(stderr,
                      "bench_report: %s request %zu not bit-identical to in-process "
                      "planning\n",
@@ -894,8 +888,7 @@ std::vector<ServiceScalingRow> MeasureServiceScaling(DatasetKind dataset, MaskKi
   std::string expected_record;
   {
     Engine local(cluster, tenant_options);
-    const std::string expected =
-        SerializeTimeless(local.Plan(batch.seqlens, spec).value()->plan);
+    const BatchPlan expected = Timeless(local.Plan(batch.seqlens, spec).value()->plan);
     StatusOr<Socket> warm = ConnectSocket(server.bound_address(), /*timeout_ms=*/2000);
     if (!warm.ok() ||
         !WriteFrame(warm.value(), FrameType::kPlanRequest, payload).ok()) {
@@ -915,7 +908,7 @@ std::vector<ServiceScalingRow> MeasureServiceScaling(DatasetKind dataset, MaskKi
     }
     StatusOr<std::pair<PlanSignature, BatchPlan>> decoded =
         PlanStore::DecodeRecord(response.value().record);
-    if (!decoded.ok() || SerializeTimeless(decoded.value().second) != expected) {
+    if (!decoded.ok() || Timeless(decoded.value().second) != expected) {
       std::fprintf(stderr,
                    "bench_report: scaling warmup record not bit-identical to "
                    "in-process planning\n");

@@ -14,7 +14,7 @@
 //   dcpctl remote plan  --connect tcp:10.0.0.7:7070 --tenant prod --seqlens 65536,32768
 //   dcpctl remote plan  --replica tcp:10.0.0.7:7070 --replica tcp:10.0.0.8:7070
 //                       --tenant prod --seqlens 65536,32768   # failover + hedging
-//   dcpctl remote stats --connect tcp:10.0.0.7:7070
+//   dcpctl remote metrics --connect tcp:10.0.0.7:7070 --prefix dcp_server_tenant_
 //
 // `plan` prints the plan summary, per-device stats, and the engine's plan-cache
 // counters; `simulate` prices fw+bw and prints the decomposition; `tune` runs the
@@ -23,8 +23,9 @@
 // bundle file — corrupt records are counted and skipped, never fatal). `serve` runs a
 // multi-tenant dcp::PlanServer until SIGINT/SIGTERM — each `--tenant NAME` registers a
 // tenant with the cluster/planner/store flags in effect at that point on the command
-// line (no `--tenant` serves a single tenant named "default"); `remote plan|stats`
-// talk to a running server through dcp::PlanClient. Malformed numeric flags and
+// line (no `--tenant` serves a single tenant named "default"); `remote plan|metrics`
+// talk to a running server through dcp::PlanClient — the metrics scrape is the server's
+// stats view, with per-tenant series labeled tenant="<name>". Malformed numeric flags and
 // planner-rejected inputs exit with code 2 and a usage message instead of aborting.
 #include <csignal>
 #include <cerrno>
@@ -64,11 +65,12 @@ constexpr const char kUsage[] =
     "                    [--quota N] [--chaos [SEED]]\n"
     "                    [cluster/planner flags] [--tenant NAME]...   (flags before\n"
     "                    each --tenant configure that tenant; none = one 'default')\n"
-    "       dcpctl remote plan|stats --connect tcp:HOST:PORT|unix:PATH [--tenant NAME]\n"
+    "       dcpctl remote plan --connect tcp:HOST:PORT|unix:PATH [--tenant NAME]\n"
     "                    [--seqlens a,b,c] [--mask M] [--block B]\n"
     "       dcpctl remote plan --replica ADDR [--replica ADDR]... [--hedge-ms N]\n"
     "                    [--timeout-ms N] [--tenant NAME] [--seqlens a,b,c] [--mask M]\n"
     "       dcpctl remote metrics --connect ADDR [--prefix NAME] [--watch [--watch-ms N]]\n"
+    "                    (server + per-tenant counters; tenants labeled tenant=\"NAME\")\n"
     "       dcpctl serve ... [--metrics-dump-ms N]   (periodic Prometheus dump to stderr)\n";
 
 [[noreturn]] void UsageError(const std::string& detail) {
@@ -206,7 +208,7 @@ Args Parse(int argc, char** argv) {
   }
   if (args.command == "remote") {
     if (argc < 3 || argv[2][0] == '-') {
-      UsageError("remote requires a subcommand (plan|stats|metrics)");
+      UsageError("remote requires a subcommand (plan|metrics)");
     }
     args.subcommand = argv[2];
     first_flag = 3;
@@ -633,7 +635,7 @@ int RunRemote(const Args& args) {
     return RunRemoteReplicated(args);
   }
   if (!args.replicas.empty()) {
-    UsageError("--replica only applies to `remote plan`; use --connect for stats");
+    UsageError("--replica only applies to `remote plan`; use --connect for metrics");
   }
   if (args.connect.empty()) {
     UsageError("remote commands require --connect tcp:HOST:PORT or unix:PATH");
@@ -667,40 +669,6 @@ int RunRemote(const Args& args) {
                 PlanServeSourceName(client->last_source()).c_str(),
                 args.tenant.c_str(), handle.value()->signature.ToHex().c_str());
     return validation.ok ? 0 : 1;
-  }
-  if (args.subcommand == "stats") {
-    StatusOr<PlanServiceStatsResponse> stats = client->ServerStats();
-    if (!stats.ok()) {
-      std::fprintf(stderr, "dcpctl: %s\n", stats.status().ToString().c_str());
-      return 1;
-    }
-    if (stats.value().code != StatusCode::kOk) {
-      std::fprintf(stderr, "dcpctl: server: %s: %s\n",
-                   StatusCodeName(stats.value().code),
-                   stats.value().message.c_str());
-      return 1;
-    }
-    std::printf("service: %lld connections, %lld requests, %lld responses, "
-                "%lld overload rejections, %lld malformed frames\n",
-                static_cast<long long>(stats.value().connections_accepted),
-                static_cast<long long>(stats.value().requests_received),
-                static_cast<long long>(stats.value().responses_sent),
-                static_cast<long long>(stats.value().rejected_overload),
-                static_cast<long long>(stats.value().malformed_frames));
-    for (const PlanServiceTenantStats& tenant : stats.value().tenants) {
-      std::printf("tenant %-16s %lld requests (%lld errors), cache %lld hits / "
-                  "%lld misses / %lld entries, store %lld hits / %lld writes / "
-                  "%lld corrupt\n",
-                  tenant.tenant.c_str(), static_cast<long long>(tenant.requests),
-                  static_cast<long long>(tenant.plan_errors),
-                  static_cast<long long>(tenant.cache_hits),
-                  static_cast<long long>(tenant.cache_misses),
-                  static_cast<long long>(tenant.cache_entries),
-                  static_cast<long long>(tenant.store_hits),
-                  static_cast<long long>(tenant.store_writes),
-                  static_cast<long long>(tenant.store_corrupt_skipped));
-    }
-    return 0;
   }
   if (args.subcommand == "metrics") {
     return RunRemoteMetrics(*client, args);

@@ -58,8 +58,10 @@ ctest --test-dir build-strict -L bench_smoke --output-on-failure
 # Metrics tier: scrape a live loopback server the way an operator would and validate
 # the Prometheus exposition structurally (validator self-test first, same contract as
 # the lint). The two plans force the planned + memory-cache serve paths into the
-# per-tenant histograms, and the --require pins assert the serve-source histogram and
-# the per-phase span counters actually appear on the wire — not just in unit tests.
+# per-tenant histograms, and the --require pins assert the serve-source histogram, the
+# per-phase span counters, and the tenant-labeled engine-cache and request counters
+# (the scrape is the one remote stats surface) actually appear on the wire — not just
+# in unit tests.
 python3 scripts/validate_prometheus.py --self-test
 metrics_store="$(mktemp -d)"
 # ServiceAddress rejects port 0 (no kernel auto-assign), so derive a high port from
@@ -70,8 +72,9 @@ metrics_port=$((21000 + $$ % 10000))
 metrics_server_pid=$!
 trap 'kill "${metrics_server_pid}" 2>/dev/null || true; rm -rf "${metrics_store}"' EXIT
 for _ in $(seq 1 50); do
-  if ./build-strict/example_dcpctl remote stats \
-       --connect "tcp:127.0.0.1:${metrics_port}" >/dev/null 2>&1; then
+  if ./build-strict/example_dcpctl remote metrics \
+       --connect "tcp:127.0.0.1:${metrics_port}" \
+       --prefix dcp_server_requests_received_total >/dev/null 2>&1; then
     break
   fi
   sleep 0.1
@@ -87,7 +90,9 @@ done
       --require 'dcp_server_serve_latency_us_count\{source="memory-cache"' \
       --require 'dcp_phase_us_total\{phase="cache_probe"\}' \
       --require 'dcp_phase_us_total\{phase="encode"\}' \
-      --require 'dcp_server_requests_received_total'
+      --require 'dcp_server_requests_received_total' \
+      --require 'dcp_engine_cache_misses_total\{shard="0",tenant="default"\}' \
+      --require 'dcp_server_tenant_requests_total\{tenant="default"\}'
 kill "${metrics_server_pid}" 2>/dev/null || true
 wait "${metrics_server_pid}" 2>/dev/null || true
 trap - EXIT

@@ -34,7 +34,7 @@ from waivers import Finding
 
 @dataclasses.dataclass(frozen=True)
 class Group:
-    name: str                 # flavor label used in messages ("text", "binary"...)
+    name: str                 # group label used in messages ("plan-binary"...)
     structs: tuple[str, ...]  # structs whose every field must round-trip
     serialize: str
     deserialize: str
@@ -43,27 +43,17 @@ class Group:
 # The plan codec ships every struct reachable from BatchPlan; service messages
 # are flat.  PlanSignature rides in the PlanStore record header.
 GROUPS = (
-    Group("plan-text",
-          ("BatchPlan", "BatchLayout", "PlanStats", "DevicePlan", "LocalChunk",
-           "Instruction", "AttentionWorkItem", "ReduceItem", "CopyItem",
-           "TransferBlock", "BlockRef"),
-          "SerializePlan", "DeserializePlan"),
     Group("plan-binary",
           ("BatchPlan", "BatchLayout", "PlanStats", "DevicePlan", "LocalChunk",
            "Instruction", "AttentionWorkItem", "ReduceItem", "CopyItem",
            "TransferBlock", "BlockRef"),
           "SerializePlanBinary", "DeserializePlanBinary"),
-    Group("service-request", ("PlanServiceRequest", "MaskSpec"),
-          "SerializePlanServiceRequest", "DeserializePlanServiceRequest"),
+    # The server decodes plan requests only through the zero-copy view.
+    Group("service-request",
+          ("PlanServiceRequest", "PlanServiceRequestView", "MaskSpec"),
+          "SerializePlanServiceRequest", "DeserializePlanServiceRequestView"),
     Group("service-response", ("PlanServiceResponse",),
           "SerializePlanServiceResponse", "DeserializePlanServiceResponse"),
-    Group("stats-request", ("PlanServiceStatsRequest",),
-          "SerializePlanServiceStatsRequest",
-          "DeserializePlanServiceStatsRequest"),
-    Group("stats-response",
-          ("PlanServiceStatsResponse", "PlanServiceTenantStats"),
-          "SerializePlanServiceStatsResponse",
-          "DeserializePlanServiceStatsResponse"),
     Group("metrics-request", ("PlanServiceMetricsRequest",),
           "SerializePlanServiceMetricsRequest",
           "DeserializePlanServiceMetricsRequest"),
@@ -79,11 +69,6 @@ GROUPS = (
 
 # Codec-shaped functions that are deliberately not groups of their own.
 EXEMPT_CODECS = {
-    # Convenience wrapper over DeserializePlan; no fields of its own.
-    "DeserializePlanOrDie",
-    # Zero-copy mirror of DeserializePlanServiceRequest; byte-for-byte
-    # equivalence is pinned by test_service_wire.
-    "DeserializePlanServiceRequestView",
     # Partial by contract: writes everything except the record bytes, which
     # the server splices from the store; equivalence with the full serializer
     # is pinned by test_service_wire.

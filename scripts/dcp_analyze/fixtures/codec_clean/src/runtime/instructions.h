@@ -1,9 +1,10 @@
-// Clean codec fixture: every PlanStats field is touched by both directions
-// of both codec flavors.
+// Clean codec fixture: every PlanStats and plan-request field is touched by both
+// directions of its codec.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace dcp {
 
@@ -16,9 +17,20 @@ struct BatchPlan {
   PlanStats stats;
 };
 
-std::string SerializePlan(const BatchPlan& plan);
-bool DeserializePlan(const std::string& text, BatchPlan* plan);
+struct PlanServiceRequest {
+  std::string tenant;
+  uint64_t trace_id = 0;
+};
+
+struct PlanServiceRequestView {
+  std::string_view tenant;
+  uint64_t trace_id = 0;
+};
+
 std::string SerializePlanBinary(const BatchPlan& plan);
 bool DeserializePlanBinary(const std::string& bytes, BatchPlan* plan);
+std::string SerializePlanServiceRequest(const PlanServiceRequest& request);
+bool DeserializePlanServiceRequestView(std::string_view bytes,
+                                       PlanServiceRequestView* request);
 
 }  // namespace dcp

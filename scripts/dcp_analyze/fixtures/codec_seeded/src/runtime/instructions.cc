@@ -2,19 +2,6 @@
 
 namespace dcp {
 
-std::string SerializePlan(const BatchPlan& plan) {
-  std::string out;
-  out += std::to_string(plan.stats.total_bytes);
-  out += std::to_string(plan.stats.num_chunks);
-  return out;
-}
-
-bool DeserializePlan(const std::string& text, BatchPlan* plan) {
-  plan->stats.total_bytes = 0;  // Seeded drift: num_chunks never restored.
-  (void)text;
-  return true;
-}
-
 std::string SerializePlanBinary(const BatchPlan& plan) {
   std::string out;
   out += std::to_string(plan.stats.num_chunks);  // Seeded drift: total_bytes never written.
@@ -25,6 +12,18 @@ bool DeserializePlanBinary(const std::string& bytes, BatchPlan* plan) {
   plan->stats.total_bytes = 0;
   plan->stats.num_chunks = 0;
   (void)bytes;
+  return true;
+}
+
+std::string SerializePlanServiceRequest(const PlanServiceRequest& request) {
+  std::string out = request.tenant;
+  out += std::to_string(request.trace_id);
+  return out;
+}
+
+bool DeserializePlanServiceRequestView(std::string_view bytes,
+                                       PlanServiceRequestView* request) {
+  request->tenant = bytes;  // Seeded drift: trace_id never restored.
   return true;
 }
 

@@ -9,9 +9,9 @@ namespace dcp {
 enum class FrameType : uint8_t {
   kPlanRequest = 1,
   kPlanResponse = 2,
-  kStatsRequest = 3,
-  kStatsResponse = 4,
   kError = 5,
+  kMetricsRequest = 8,
+  kMetricsResponse = 9,
 };
 
 }  // namespace dcp

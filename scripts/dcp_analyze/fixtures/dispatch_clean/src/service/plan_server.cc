@@ -7,8 +7,8 @@ void Handle(FrameType type) {
     case FrameType::kPlanRequest:
       Send(FrameType::kPlanResponse);
       break;
-    case FrameType::kStatsRequest:
-      Send(FrameType::kStatsResponse);
+    case FrameType::kMetricsRequest:
+      Send(FrameType::kMetricsResponse);
       break;
     default:
       Send(FrameType::kError);

@@ -148,6 +148,8 @@ Engine::Engine(ClusterSpec cluster, EngineOptions options)
                                          "Plan cache misses");
     shard->evictions = metrics_->GetCounter("dcp_engine_cache_evictions_total", labels,
                                             "Plan cache LRU evictions");
+    shard->entries = metrics_->GetGauge("dcp_engine_cache_entries", labels,
+                                        "Plans resident in the shard's LRU");
     shard->hit_latency_us = metrics_->GetHistogram(
         "dcp_engine_cache_hit_latency_us", labels,
         "Signature + probe latency on the hit path (sampled 1 in 16 when untraced)");
@@ -199,6 +201,7 @@ PlanHandle Engine::CacheInsert(PlanHandle handle, std::vector<PlanHandle>* evict
     shard.lru.pop_back();
     shard.evictions->Increment();
   }
+  shard.entries->Set(static_cast<int64_t>(shard.lru.size()));
   return handle;
 }
 
@@ -474,7 +477,7 @@ PlanCacheStats Engine::cache_stats() const DCP_NO_THREAD_SAFETY_ANALYSIS {
     stats.hits += shard->hits->value();
     stats.misses += shard->misses->value();
     stats.evictions += shard->evictions->value();
-    stats.entries += static_cast<int64_t>(shard->lru.size());
+    stats.entries += shard->entries->value();
   }
   locks.clear();
   {
@@ -496,6 +499,7 @@ void Engine::ClearCache() {
     MutexLock lock(shard->mu);
     shard->lru.clear();
     shard->index.clear();
+    shard->entries->Set(0);
   }
   MutexLock lock(tune_mu_);
   tune_lru_.clear();

@@ -257,6 +257,8 @@ class Engine : public Planner {
     metrics::Counter* hits = nullptr;
     metrics::Counter* misses = nullptr;
     metrics::Counter* evictions = nullptr;
+    // lru.size(), republished under mu after every insert/evict and on ClearCache.
+    metrics::Gauge* entries = nullptr;
     // Sampled (1 in 16) end-to-end hit latency: signature hash + LRU probe.
     metrics::Histogram* hit_latency_us = nullptr;
   };

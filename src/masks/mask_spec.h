@@ -52,6 +52,8 @@ struct MaskSpec {
   int num_answers = 4;
   double answer_fraction = 0.2;
 
+  bool operator==(const MaskSpec&) const = default;
+
   static MaskSpec Causal();
   static MaskSpec Lambda(int64_t sink = 64, int64_t window = 4096);
   static MaskSpec CausalBlockwise(int64_t block = 256, int64_t window_blocks = 2,

@@ -73,6 +73,8 @@ struct AttentionWorkItem {
   BlockRef delta;  // kDelta block of the q chunk.
   BlockRef dq;     // kDQ accumulator of the q chunk.
   BlockRef dkv;    // kDKV accumulator of the kv chunk.
+
+  bool operator==(const AttentionWorkItem&) const = default;
 };
 
 enum class ReduceMode : uint8_t {
@@ -89,18 +91,24 @@ struct ReduceItem {
   BlockRef src0;
   BlockRef src1;          // kComputeDelta uses src0=dO, src1=O.
   int64_t token_count = 0;  // Valid tokens in the (possibly ragged) chunk.
+
+  bool operator==(const ReduceItem&) const = default;
 };
 
 struct CopyItem {
   BlockRef dst;
   BlockRef src;
   int64_t token_count = 0;
+
+  bool operator==(const CopyItem&) const = default;
 };
 
 struct TransferBlock {
   BlockRef ref;
   Bytes bytes = 0;          // Wire size (training dtype).
   int64_t token_count = 0;  // Valid tokens, for numeric payload sizing.
+
+  bool operator==(const TransferBlock&) const = default;
 };
 
 struct Instruction {
@@ -130,6 +138,8 @@ struct Instruction {
   // Extra fixed host-side cost in seconds (e.g. TransformerEngine's per-step varlen
   // argument construction); added to the launch overhead by the simulator.
   double host_overhead = 0.0;
+
+  bool operator==(const Instruction&) const = default;
 };
 
 // Where a locally-owned data chunk lives in the device buffers, and which tokens it holds.
@@ -140,6 +150,8 @@ struct LocalChunk {
   GroupId group = 0;
   int32_t q_slot = 0;    // kQ (and same slot index in kO / kDQ / kDO / kDelta / kAcc).
   int32_t kv_slot = 0;   // kKV (and kDKV).
+
+  bool operator==(const LocalChunk&) const = default;
 };
 
 struct DevicePlan {
@@ -147,6 +159,8 @@ struct DevicePlan {
   std::vector<Instruction> backward_instructions;
   std::array<int32_t, kNumBufKinds> num_slots = {};
   std::vector<LocalChunk> local_chunks;
+
+  bool operator==(const DevicePlan&) const = default;
 };
 
 // Summary statistics the planner computes for a plan (used by benches and tests).
@@ -162,6 +176,8 @@ struct PlanStats {
   Bytes min_device_owned_bytes = 0;
   double planning_seconds = 0.0;
   double partition_cost = 0.0;  // Connectivity objective value at device level.
+
+  bool operator==(const PlanStats&) const = default;
 };
 
 struct BatchPlan {
@@ -170,29 +186,23 @@ struct BatchPlan {
   std::vector<DeviceId> chunk_home;  // Per global chunk id: owning device.
   PlanStats stats;
 
+  // Member-wise equality over every field, so a codec that drops or corrupts any member
+  // fails a round-trip comparison.
+  bool operator==(const BatchPlan&) const = default;
+
   int num_devices() const { return static_cast<int>(devices.size()); }
 };
 
 // Human-readable dump (debugging aid, also exercised in tests).
 std::string PlanToString(const BatchPlan& plan, int max_instructions_per_device = 16);
 
-// Compact line-based serialization round-trip (paper §3.1: plans are serialized by the
-// planner and shipped to devices). Deserialization validates every section tag, every
-// stream read, and enum ranges, and rejects truncated input and trailing garbage:
-// malformed bytes come back as a recoverable DATA_LOSS Status, never an abort and never
-// a silently zero-filled plan.
-std::string SerializePlan(const BatchPlan& plan);
-StatusOr<BatchPlan> DeserializePlan(const std::string& text);
-// Shim for internal callers holding text they themselves produced (tests, debugging):
-// DCP_CHECK-aborts on malformed input instead of returning a Status.
-BatchPlan DeserializePlanOrDie(const std::string& text);
-
-// Fixed-width little-endian binary encoding of the same plan, used by PlanStore records
-// and (per the ROADMAP) the future sharded planning service's wire format. Roughly 4x
-// smaller than the text form and exact for doubles (bit_cast, no decimal round-trip).
-// The decoder is bounds-checked end to end: item counts are validated against the
-// remaining payload before any allocation, enums are range-checked, and trailing bytes
-// are rejected.
+// Compact binary plan serialization (paper §3.1: plans are serialized by the planner and
+// shipped to devices): the one plan codec, used by PlanStore records and, inside them,
+// by the planning service's wire format. Doubles are exact (bit_cast, no decimal
+// round-trip), so DeserializePlanBinary(SerializePlanBinary(p)) == p. The decoder is
+// bounds-checked end to end: item counts are validated against the remaining payload
+// before any allocation, enums are range-checked, and trailing bytes are rejected —
+// malformed bytes come back as a recoverable DATA_LOSS Status, never an abort.
 std::string SerializePlanBinary(const BatchPlan& plan);
 StatusOr<BatchPlan> DeserializePlanBinary(std::string_view bytes);
 
@@ -229,9 +239,8 @@ struct PlanServiceRequest {
   // the request (DEADLINE_EXCEEDED, no planning) once the budget has already expired —
   // planning dead work would only steal workers from live requests.
   int64_t deadline_ms = 0;
-  // Trace id for per-request phase tracing (v3 field, 0 = untraced). Written after
-  // every v2 field so a v2 body is exactly a v3 body minus this trailer, and a v3
-  // reader accepts both.
+  // Trace id for per-request phase tracing (0 = untraced), the body's fixed-width
+  // trailer.
   uint64_t trace_id = 0;
 };
 
@@ -246,41 +255,6 @@ struct PlanServiceResponse {
   uint64_t signature_lo = 0;
   uint64_t signature_hi = 0;
   std::string record;
-};
-
-// One tenant's cache counters as reported by the stats RPC (mirrors PlanCacheStats,
-// which lives in core/ and is re-flattened here so the wire layer stays below it).
-struct PlanServiceTenantStats {
-  std::string tenant;
-  int64_t requests = 0;       // Plan RPCs the service routed to this tenant.
-  int64_t plan_errors = 0;    // Plan RPCs that returned a non-OK status.
-  int64_t shed_quota = 0;     // Rejected over the tenant's in-flight admission quota.
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  int64_t cache_evictions = 0;
-  int64_t cache_entries = 0;
-  int64_t store_hits = 0;
-  int64_t store_writes = 0;
-  int64_t store_corrupt_skipped = 0;
-};
-
-struct PlanServiceStatsRequest {
-  std::string tenant;  // Empty: report every tenant.
-};
-
-struct PlanServiceStatsResponse {
-  StatusCode code = StatusCode::kOk;
-  std::string message;
-  // Service-wide counters.
-  int64_t connections_accepted = 0;
-  int64_t requests_received = 0;
-  int64_t responses_sent = 0;
-  int64_t rejected_overload = 0;
-  int64_t malformed_frames = 0;
-  int64_t shed_deadline = 0;          // Requests dropped with an already-dead deadline.
-  int64_t sync_records_shipped = 0;   // Records this replica sent to gossip peers.
-  int64_t sync_records_adopted = 0;   // Peer records validated and adopted locally.
-  std::vector<PlanServiceTenantStats> tenants;
 };
 
 // Anti-entropy exchange between replicas: the caller lists the plan signatures it
@@ -326,7 +300,6 @@ std::string SerializePlanSyncResponse(const PlanSyncResponse& response);
 StatusOr<PlanSyncResponse> DeserializePlanSyncResponse(std::string_view bytes);
 
 std::string SerializePlanServiceRequest(const PlanServiceRequest& request);
-StatusOr<PlanServiceRequest> DeserializePlanServiceRequest(std::string_view bytes);
 std::string SerializePlanServiceResponse(const PlanServiceResponse& response);
 StatusOr<PlanServiceResponse> DeserializePlanServiceResponse(std::string_view bytes);
 
@@ -341,11 +314,12 @@ struct PlanServiceRequestView {
   MaskSpec mask_spec;
   int64_t block_size = 0;
   int64_t deadline_ms = 0;
-  uint64_t trace_id = 0;  // v3 field; 0 when absent (v2 body) or untraced.
+  uint64_t trace_id = 0;  // 0 when untraced.
 };
 
-// Wire-compatible with DeserializePlanServiceRequest (same validation, same errors);
-// only the ownership of the decoded fields differs.
+// The one plan-request decoder, the inverse of SerializePlanServiceRequest: every count
+// is bounded, the deadline must be non-negative, and a body at any version but the
+// current service message version is DATA_LOSS.
 StatusOr<PlanServiceRequestView> DeserializePlanServiceRequestView(
     std::string_view bytes, Arena* arena);
 
@@ -356,12 +330,6 @@ StatusOr<PlanServiceRequestView> DeserializePlanServiceRequestView(
 // record is framed without copying. `response.record` must be empty.
 std::string SerializePlanServiceResponseHead(const PlanServiceResponse& response,
                                              size_t record_size);
-std::string SerializePlanServiceStatsRequest(const PlanServiceStatsRequest& request);
-StatusOr<PlanServiceStatsRequest> DeserializePlanServiceStatsRequest(
-    std::string_view bytes);
-std::string SerializePlanServiceStatsResponse(const PlanServiceStatsResponse& response);
-StatusOr<PlanServiceStatsResponse> DeserializePlanServiceStatsResponse(
-    std::string_view bytes);
 
 }  // namespace dcp
 

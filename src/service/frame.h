@@ -30,8 +30,8 @@ namespace dcp {
 enum class FrameType : uint32_t {
   kPlanRequest = 1,
   kPlanResponse = 2,
-  kStatsRequest = 3,
-  kStatsResponse = 4,
+  // 3 and 4 are retired (a stats RPC, superseded by the metrics scrape below) and stay
+  // unassigned: a peer still sending them gets kErrorResponse, never a new meaning.
   // A connection-level failure (malformed frame, unknown type): payload is a
   // PlanServiceResponse carrying only the status. The sender closes afterwards.
   kErrorResponse = 5,

@@ -319,22 +319,6 @@ PlanServeSource PlanClient::last_source() const {
   return last_source_;
 }
 
-StatusOr<PlanServiceStatsResponse> PlanClient::ServerStats(
-    const std::string& tenant_filter) {
-  PlanServiceStatsRequest request;
-  request.tenant = tenant_filter;
-  StatusOr<Frame> reply =
-      Roundtrip(FrameType::kStatsRequest, SerializePlanServiceStatsRequest(request),
-                FrameType::kStatsResponse);
-  if (!reply.ok()) {
-    return reply.status();
-  }
-  if (reply.value().type == FrameType::kErrorResponse) {
-    return DecodeErrorFrame(reply.value());
-  }
-  return DeserializePlanServiceStatsResponse(reply.value().payload);
-}
-
 StatusOr<PlanServiceMetricsResponse> PlanClient::ServerMetrics(
     const std::string& name_prefix) {
   PlanServiceMetricsRequest request;

@@ -119,10 +119,10 @@ class PlanClient : public Planner {
   // server memory/store cache, or freshly planned). For benches and tests.
   PlanServeSource last_source() const;
 
-  StatusOr<PlanServiceStatsResponse> ServerStats(const std::string& tenant_filter = "");
-
   // One metrics scrape from the server: Prometheus text for every series whose
-  // name starts with `name_prefix` ("" for everything). Requires a v3 server.
+  // name starts with `name_prefix` ("" for everything). The scrape is the service's
+  // one remote stats surface: server counters, and per-tenant request, engine-cache
+  // and plan-store counters labeled tenant="<name>".
   StatusOr<PlanServiceMetricsResponse> ServerMetrics(
       const std::string& name_prefix = "");
 

@@ -484,15 +484,6 @@ void PlanServer::HandleInboundFrame(IoLoop& loop, Connection* conn, Frame frame)
                                 std::to_string(options_.max_queue) +
                                 " requests already in flight";
     switch (frame.type) {
-      case FrameType::kStatsRequest: {
-        PlanServiceStatsResponse overload;
-        overload.code = StatusCode::kUnavailable;
-        overload.message = message;
-        QueueResponse(conn,
-                      EncodeFrameParts(FrameType::kStatsResponse,
-                                       SerializePlanServiceStatsResponse(overload)));
-        break;
-      }
       case FrameType::kSyncRequest: {
         PlanSyncResponse overload;
         overload.code = StatusCode::kUnavailable;
@@ -926,22 +917,6 @@ void PlanServer::HandleFrame(Connection* conn, Frame frame) {
                                            SerializePlanSyncResponse(response)));
       return;
     }
-    case FrameType::kStatsRequest: {
-      StatusOr<PlanServiceStatsRequest> request =
-          DeserializePlanServiceStatsRequest(frame.payload);
-      PlanServiceStatsResponse response;
-      if (!request.ok()) {
-        counters_.malformed_frames->Increment();
-        response.code = request.status().code();
-        response.message = request.status().message();
-      } else {
-        response = BuildStatsResponse(request.value().tenant);
-      }
-      QueueResponse(conn,
-                    EncodeFrameParts(FrameType::kStatsResponse,
-                                     SerializePlanServiceStatsResponse(response)));
-      return;
-    }
     case FrameType::kMetricsRequest: {
       StatusOr<PlanServiceMetricsRequest> request =
           DeserializePlanServiceMetricsRequest(frame.payload);
@@ -986,7 +961,7 @@ PlanServer::ServeResult PlanServer::HandlePlanRequest(
   if (engine == nullptr) {
     // Counted only in the service-wide plan_errors: keying tenant_counters_ on
     // arbitrary unknown names would let a client cycling bogus tenants grow server
-    // memory without bound (and the entries would never surface in stats anyway).
+    // memory without bound (and the entries would never surface in a scrape anyway).
     result.response =
         ErrorResponse(StatusCode::kNotFound, "unknown tenant '" + tenant + "'");
   } else {
@@ -1305,53 +1280,6 @@ PlanServerStats PlanServer::stats() const {
   stats.zero_copy_serves = counters_.zero_copy_serves->value();
   stats.slow_reader_closes = counters_.slow_reader_closes->value();
   return stats;
-}
-
-PlanServiceStatsResponse PlanServer::BuildStatsResponse(
-    const std::string& tenant_filter) const {
-  PlanServiceStatsResponse response;
-  response.connections_accepted = counters_.connections_accepted->value();
-  response.requests_received = counters_.requests_received->value();
-  response.responses_sent = counters_.responses_sent->value();
-  response.rejected_overload = counters_.rejected_overload->value();
-  response.malformed_frames = counters_.malformed_frames->value();
-  response.shed_deadline = counters_.shed_deadline->value();
-  response.sync_records_shipped = counters_.sync_records_shipped->value();
-  response.sync_records_adopted = counters_.sync_records_adopted->value();
-  for (const std::string& name : registry_->Names()) {
-    if (!tenant_filter.empty() && name != tenant_filter) {
-      continue;
-    }
-    const std::shared_ptr<Engine> engine = registry_->Find(name);
-    if (engine == nullptr) {
-      continue;
-    }
-    const PlanCacheStats cache = engine->cache_stats();
-    PlanServiceTenantStats tenant;
-    tenant.tenant = name;
-    {
-      MutexLock lock(stats_mu_);
-      const auto it = tenant_counters_.find(name);
-      if (it != tenant_counters_.end()) {
-        tenant.requests = it->second.requests->value();
-        tenant.plan_errors = it->second.plan_errors->value();
-        tenant.shed_quota = it->second.shed_quota->value();
-      }
-    }
-    tenant.cache_hits = cache.hits;
-    tenant.cache_misses = cache.misses;
-    tenant.cache_evictions = cache.evictions;
-    tenant.cache_entries = cache.entries;
-    tenant.store_hits = cache.store_hits;
-    tenant.store_writes = cache.store_writes;
-    tenant.store_corrupt_skipped = cache.store_corrupt_skipped;
-    response.tenants.push_back(std::move(tenant));
-  }
-  if (!tenant_filter.empty() && response.tenants.empty()) {
-    response.code = StatusCode::kNotFound;
-    response.message = "unknown tenant '" + tenant_filter + "'";
-  }
-  return response;
 }
 
 }  // namespace dcp

@@ -73,8 +73,8 @@ struct PlanServerOptions {
   int max_queue = 64;
   // Per-tenant in-flight bound (0 disables): one tenant's burst gets UNAVAILABLE for
   // that tenant only, while every other tenant keeps planning. Enforced on the loop
-  // thread (the request is decoded before admission), counted per tenant in the stats
-  // RPC.
+  // thread (the request is decoded before admission), counted per tenant in
+  // dcp_server_tenant_shed_quota_total{tenant}.
   int max_inflight_per_tenant = 0;
   // Cap on inbound REQUEST frames. Requests (tenant + seqlens + mask params) are a few
   // KB; only responses carry compiled plans. The frame header commits the claimed
@@ -114,7 +114,7 @@ struct PlanServerOptions {
 
 struct PlanServerStats {
   int64_t connections_accepted = 0;
-  int64_t requests_received = 0;   // Well-formed request frames (plan + stats + sync).
+  int64_t requests_received = 0;   // Well-formed request frames (plan + sync + metrics).
   int64_t responses_sent = 0;
   int64_t plan_ok = 0;
   int64_t plan_errors = 0;         // Plan requests answered with a non-OK status.
@@ -158,8 +158,6 @@ class PlanServer {
   PlanServerStats stats() const;
   // Recent completed plan-request traces, newest first (see trace_ring_capacity).
   std::vector<metrics::Trace> recent_traces() const { return trace_ring_.Snapshot(); }
-  // The stats RPC's view: server counters + per-tenant engine cache counters.
-  PlanServiceStatsResponse BuildStatsResponse(const std::string& tenant_filter) const;
 
   TenantRegistry& registry() { return *registry_; }
 

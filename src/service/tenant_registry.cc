@@ -11,9 +11,13 @@ Status TenantRegistry::Register(const TenantConfig& config) {
   if (config.name.size() > 256) {
     return Status::InvalidArgument("tenant name too long: " + config.name);
   }
-  // Engine construction (store warm-load included) happens outside the lock; only the
-  // map insert is serialized.
-  auto engine = std::make_shared<Engine>(config.cluster, config.options);
+  // Every tenant's instruments carry tenant="<name>", so a scrape tells the tenants'
+  // cache and store counters apart instead of summing them. Engine construction
+  // (store warm-load included) happens outside the lock; only the map insert is
+  // serialized.
+  EngineOptions options = config.options;
+  options.metrics_tenant = config.name;
+  auto engine = std::make_shared<Engine>(config.cluster, std::move(options));
   MutexLock lock(mu_);
   const auto [it, inserted] = tenants_.emplace(config.name, std::move(engine));
   (void)it;

@@ -39,7 +39,7 @@ class TenantRegistry {
   // requests survive concurrent registry mutation.
   std::shared_ptr<Engine> Find(const std::string& name) const;
 
-  std::vector<std::string> Names() const;  // Sorted, for deterministic stats output.
+  std::vector<std::string> Names() const;  // Sorted, for a deterministic gossip order.
 
  private:
   mutable Mutex mu_;

@@ -2,17 +2,25 @@
 // (seqlens, mask, cluster shape, block size) cases whose plans exercise every mask kind,
 // multi-node clusters, and ragged chunk boundaries. Used by test_property_plans.cc (plan
 // validity + numeric equivalence) and test_plan_store.cc (serialization round-trips and
-// corruption injection).
+// corruption injection). Also the one plan-equality helper (Timeless) shared by the
+// tests and bench_report, and a gtest printer so failed plan comparisons stay readable.
 #ifndef DCP_TESTS_PLAN_TEST_UTIL_H_
 #define DCP_TESTS_PLAN_TEST_UTIL_H_
 
+#include <ostream>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/planner.h"
 #include "masks/mask.h"
+#include "runtime/instructions.h"
 
 namespace dcp {
+
+// gtest's printer for BatchPlan (found by ADL): EXPECT_EQ on two plans prints their
+// summaries instead of a raw byte dump.
+inline void PrintTo(const BatchPlan& plan, std::ostream* os) { *os << PlanToString(plan); }
+
 namespace plan_test {
 
 struct GeneratedCase {
@@ -60,6 +68,14 @@ inline MaskSpec SmallMaskSpec(MaskKind kind) {
   spec.window_tokens = 13;
   spec.icl_block_tokens = 8;
   return spec;
+}
+
+// `plan` with planning_seconds zeroed: the one field that legitimately differs between
+// two runs of the deterministic planner (wall clock), so plans from different processes,
+// tiers or replicas compare with == on every other member.
+inline BatchPlan Timeless(BatchPlan plan) {
+  plan.stats.planning_seconds = 0.0;
+  return plan;
 }
 
 }  // namespace plan_test

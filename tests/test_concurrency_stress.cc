@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "core/engine.h"
 #include "masks/mask.h"
 #include "service/plan_client.h"
@@ -106,10 +107,10 @@ TEST(ConcurrencyStress, EnginePlanVsStatsVsEvictionChurn) {
   EXPECT_EQ(plans_done.load(), kPlanners * kPlansPerThread);
 }
 
-// Server stats/io_thread_count/poller_backend polled continuously across Stop():
-// the poller thread must never touch freed loop state (this raced loops_.clear()
-// before the counters were published atomically in Start/Stop).
-TEST(ConcurrencyStress, ServerStatsVsShutdown) {
+// Server stats/scrape/io_thread_count/poller_backend polled continuously across
+// Stop(): the poller thread must never touch freed loop state (this raced
+// loops_.clear() before the counters were published atomically in Start/Stop).
+TEST(ConcurrencyStress, ServerAccessorsVsShutdown) {
   auto registry = std::make_shared<TenantRegistry>();
   ASSERT_TRUE(
       registry->Register({"prod", SmallCluster(), TinyEngineOptions(8)}).ok());
@@ -124,7 +125,7 @@ TEST(ConcurrencyStress, ServerStatsVsShutdown) {
   std::thread poller([&server, &stop] {
     while (!stop.load(std::memory_order_acquire)) {
       (void)server.stats();
-      (void)server.BuildStatsResponse("");
+      (void)metrics::Registry::Global().RenderPrometheus("dcp_");
       const int io_threads = server.io_thread_count();
       EXPECT_GE(io_threads, 0);
       EXPECT_LE(io_threads, 2);

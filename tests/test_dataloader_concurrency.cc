@@ -5,10 +5,11 @@
 // execution, it does not run ahead of the configured kappa.
 #include "core/dataloader.h"
 
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "tests/plan_test_util.h"
 
 namespace dcp {
 namespace {
@@ -31,10 +32,10 @@ PlannerOptions SmallPlanner() {
   return options;
 }
 
-// One loader's first `iterations` results, as (seqlens, serialized plan) pairs.
+// One loader's first `iterations` results, as (seqlens, timeless plan) pairs.
 struct IterationRecord {
   std::vector<int64_t> seqlens;
-  std::string plan;
+  BatchPlan plan;
 
   bool operator==(const IterationRecord&) const = default;
 };
@@ -55,10 +56,8 @@ std::vector<IterationRecord> Drain(int planner_threads, int lookahead, int itera
     EXPECT_LE(loader.PendingPlans(), lookahead + 1)
         << "lookahead window exceeded at iteration " << i;
     PlannedIteration it = loader.Next();
-    BatchPlan plan = it.plan();            // Copy: handles are immutable.
-    plan.stats.planning_seconds = 0.0;     // Wall clock is the one legitimately
-                                           // thread-dependent field.
-    records.push_back({it.batch.seqlens, SerializePlan(plan)});
+    // Wall clock is the one legitimately thread-dependent field.
+    records.push_back({it.batch.seqlens, plan_test::Timeless(it.plan())});
     EXPECT_LE(loader.PendingPlans(), lookahead + 1);
   }
   return records;

@@ -16,9 +16,12 @@
 #include "common/rng.h"
 #include "core/api.h"
 #include "runtime/reference_attention.h"
+#include "tests/plan_test_util.h"
 
 namespace dcp {
 namespace {
+
+using plan_test::Timeless;
 
 EngineOptions SmallEngineOptions() {
   EngineOptions options;
@@ -35,11 +38,6 @@ ClusterSpec SmallCluster() {
   cluster.num_nodes = 2;
   cluster.devices_per_node = 2;
   return cluster;
-}
-
-std::string CanonicalSerialized(BatchPlan plan) {
-  plan.stats.planning_seconds = 0.0;  // The only legitimately run-dependent field.
-  return SerializePlan(plan);
 }
 
 TEST(PlanSignature, DistinctMaskKindsWithIdenticalSeqlensNeverAlias) {
@@ -161,7 +159,7 @@ TEST(Engine, CachedPlansAreBitIdenticalToFreshPlans) {
     const std::vector<SequenceMask> masks = BuildBatchMasks(spec, seqlens);
     const BatchPlan fresh =
         PlanBatch(seqlens, masks, SmallCluster(), SmallEngineOptions().planner);
-    EXPECT_EQ(CanonicalSerialized(hit->plan), CanonicalSerialized(fresh))
+    EXPECT_EQ(Timeless(hit->plan), Timeless(fresh))
         << "cached plan diverged from fresh plan for mask " << MaskKindName(kind);
   }
 }
@@ -185,7 +183,7 @@ TEST(Engine, LruEvictsOldestAndRecountsThemAsMisses) {
   // `a` was evicted: replanning it is a miss and yields a fresh (but equal) handle.
   const PlanHandle again_a = engine.Plan(a, MaskSpec::Causal()).value();
   EXPECT_NE(first_a.get(), again_a.get());
-  EXPECT_EQ(CanonicalSerialized(first_a->plan), CanonicalSerialized(again_a->plan));
+  EXPECT_EQ(Timeless(first_a->plan), Timeless(again_a->plan));
   stats = engine.cache_stats();
   EXPECT_EQ(stats.misses, 4);
   EXPECT_EQ(stats.hits, 0);
@@ -215,7 +213,7 @@ TEST(Engine, DisabledCacheStillCountsMisses) {
   const PlanHandle a = engine.Plan({40}, MaskSpec::Causal()).value();
   const PlanHandle b = engine.Plan({40}, MaskSpec::Causal()).value();
   EXPECT_NE(a.get(), b.get()) << "nothing may be cached at capacity 0";
-  EXPECT_EQ(CanonicalSerialized(a->plan), CanonicalSerialized(b->plan));
+  EXPECT_EQ(Timeless(a->plan), Timeless(b->plan));
   const PlanCacheStats stats = engine.cache_stats();
   EXPECT_EQ(stats.hits, 0);
   EXPECT_EQ(stats.misses, 2);  // Truthful accounting even when the cache is disabled.

@@ -1,6 +1,8 @@
 // Randomized stress sweep of the full pipeline, plus plan-portability checks: a plan can
 // be serialized, deserialized, and executed with identical numerics (the paper ships
 // serialized plans from planner machines to workers), and hand-broken plans are rejected.
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -85,7 +87,9 @@ TEST(PlanPortability, DeserializedPlanExecutesIdentically) {
   const std::vector<int64_t> seqlens = {55, 32, 20};
   std::vector<SequenceMask> masks = BuildBatchMasks(MaskSpec::Lambda(4, 12), seqlens);
   BatchPlan original = PlanBatch(seqlens, masks, cluster, options);
-  BatchPlan restored = DeserializePlanOrDie(SerializePlan(original));
+  StatusOr<BatchPlan> decoded = DeserializePlanBinary(SerializePlanBinary(original));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const BatchPlan restored = std::move(decoded).value();
 
   Rng rng(17);
   std::vector<SeqTensors> inputs;

@@ -1,6 +1,6 @@
 // End-to-end tests for dcp::PlanService: a real PlanServer on a loopback TCP socket,
 // real PlanClients, and the acceptance bar from the subsystem's introduction —
-// responses bit-identical to in-process Engine::Plan (asserted via SerializePlan),
+// responses bit-identical to in-process Engine::Plan (asserted with plan ==),
 // tenants never observing each other's plans, malformed frames never killing the
 // server, and overload rejected with UNAVAILABLE instead of queued without bound.
 #include <arpa/inet.h>
@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,13 +54,24 @@ EngineOptions SmallEngineOptions(int64_t block_size, uint64_t seed = 7) {
   return options;
 }
 
-// Serialization for bit-identity assertions between independent planning runs:
-// everything in a plan is deterministic except stats.planning_seconds, which is a
-// wall-clock measurement of the run that produced it — zeroed before comparing.
-std::string SerializeTimeless(const BatchPlan& plan) {
-  BatchPlan copy = plan;
-  copy.stats.planning_seconds = 0.0;
-  return SerializePlan(copy);
+using plan_test::Timeless;
+
+// The sum of every `family` sample in a Prometheus text scrape whose labels contain
+// `label` (e.g. tenant="prod"), or -1 when there is none: per-shard engine series sum
+// over the tenant's shards.
+int64_t Scraped(const std::string& text, const std::string& family,
+                const std::string& label = "") {
+  int64_t sum = -1;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    const size_t space = line.rfind(' ');
+    if (line.compare(0, family.size(), family) == 0 && space >= family.size() &&
+        (line[family.size()] == ' ' || line[family.size()] == '{') &&
+        line.substr(0, space).find(label) != std::string::npos) {
+      sum = std::max<int64_t>(sum, 0) + std::stoll(line.substr(space + 1));
+    }
+  }
+  return sum;
 }
 
 // A server over loopback TCP with the given tenants, torn down on destruction.
@@ -106,7 +119,7 @@ TEST(PlanService, LoopbackResponsesBitIdenticalToInProcessPlanning) {
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   EXPECT_EQ(client->last_source(), PlanServeSource::kPlanned);
   EXPECT_TRUE(remote.value()->signature == expected->signature);
-  EXPECT_EQ(SerializeTimeless(remote.value()->plan), SerializeTimeless(expected->plan));
+  EXPECT_EQ(Timeless(remote.value()->plan), Timeless(expected->plan));
   ASSERT_EQ(remote.value()->masks.size(), expected->masks.size());
 
   // Same request again on the SAME client: served locally, no RPC.
@@ -123,7 +136,7 @@ TEST(PlanService, LoopbackResponsesBitIdenticalToInProcessPlanning) {
   StatusOr<PlanHandle> server_hit = fresh->Plan(seqlens, mask);
   ASSERT_TRUE(server_hit.ok()) << server_hit.status().ToString();
   EXPECT_EQ(fresh->last_source(), PlanServeSource::kMemoryCache);
-  EXPECT_EQ(SerializeTimeless(server_hit.value()->plan), SerializeTimeless(expected->plan));
+  EXPECT_EQ(Timeless(server_hit.value()->plan), Timeless(expected->plan));
 }
 
 TEST(PlanService, TenantsNeverObserveEachOthersPlans) {
@@ -143,15 +156,15 @@ TEST(PlanService, TenantsNeverObserveEachOthersPlans) {
 
   // Distinct signatures: one tenant's cache can never serve the other's request.
   EXPECT_FALSE(plan_a->signature == plan_b->signature);
-  EXPECT_NE(SerializeTimeless(plan_a->plan), SerializeTimeless(plan_b->plan));
+  EXPECT_NE(Timeless(plan_a->plan), Timeless(plan_b->plan));
 
   // And each matches its own in-process reference exactly.
   Engine local_a(cluster, options_a);
   Engine local_b(cluster, options_b);
-  EXPECT_EQ(SerializeTimeless(plan_a->plan),
-            SerializeTimeless(local_a.Plan(seqlens, mask).value()->plan));
-  EXPECT_EQ(SerializeTimeless(plan_b->plan),
-            SerializeTimeless(local_b.Plan(seqlens, mask).value()->plan));
+  EXPECT_EQ(Timeless(plan_a->plan),
+            Timeless(local_a.Plan(seqlens, mask).value()->plan));
+  EXPECT_EQ(Timeless(plan_b->plan),
+            Timeless(local_b.Plan(seqlens, mask).value()->plan));
 }
 
 TEST(PlanService, ErrorsPropagateAsStatuses) {
@@ -241,7 +254,7 @@ TEST(PlanService, MalformedFramesNeverKillTheServer) {
 }
 
 // The subsystem's stress bar: N client threads x M tenants hammering one server, every
-// response asserted bit-identical (via SerializePlan) to a fresh in-process plan.
+// response asserted bit-identical (plan ==) to a fresh in-process plan.
 TEST(PlanService, StressManyClientThreadsManyTenants) {
   constexpr int kTenants = 3;
   constexpr int kThreadsPerTenant = 2;
@@ -265,7 +278,7 @@ TEST(PlanService, StressManyClientThreadsManyTenants) {
     std::vector<int64_t> seqlens;
     MaskSpec mask;
     int64_t block_size = 0;
-    std::string serialized;
+    BatchPlan plan;
   };
   std::vector<std::vector<Observed>> per_thread(kTenants * kThreadsPerTenant);
   std::atomic<int> failures{0};
@@ -293,7 +306,7 @@ TEST(PlanService, StressManyClientThreadsManyTenants) {
             ++failures;
             continue;
           }
-          obs.serialized = SerializeTimeless(plan.value()->plan);
+          obs.plan = Timeless(plan.value()->plan);
           per_thread[static_cast<size_t>(slot)].push_back(std::move(obs));
         }
         (void)w;
@@ -315,7 +328,7 @@ TEST(PlanService, StressManyClientThreadsManyTenants) {
         StatusOr<PlanHandle> expected =
             local.PlanWithBlockSize(obs.seqlens, obs.mask, obs.block_size);
         ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-        EXPECT_EQ(obs.serialized, SerializeTimeless(expected.value()->plan))
+        EXPECT_EQ(obs.plan, Timeless(expected.value()->plan))
             << "tenant " << obs.tenant;
       }
     }
@@ -326,35 +339,68 @@ TEST(PlanService, StressManyClientThreadsManyTenants) {
   EXPECT_EQ(stats.rejected_overload, 0);
 }
 
-TEST(PlanService, StatsRpcReportsServiceAndTenantCounters) {
-  ServiceFixture service({{"prod", SmallCluster(1, 2), SmallEngineOptions(16)},
-                          {"dev", SmallCluster(1, 2), SmallEngineOptions(24)}});
-  std::unique_ptr<PlanClient> client = service.Client("prod");
-  ASSERT_TRUE(client->Plan({64, 32}, MaskSpec::Causal()).ok());
+TEST(PlanService, ScrapeReportsPerTenantServerEngineAndStoreCounters) {
+  // Two tenants in one server: every per-tenant counter the scrape carries is labeled
+  // tenant="<name>", so the two engines' cache and store series stay apart instead of
+  // summing into one unlabeled series.
+  namespace fs = std::filesystem;
+  const fs::path root = fs::path(::testing::TempDir()) / "dcp_scrape_tenants";
+  fs::remove_all(root);
+  EngineOptions prod = SmallEngineOptions(16);
+  prod.plan_cache_shards = 2;
+  prod.plan_store_path = (root / "prod").string();
+  EngineOptions dev = SmallEngineOptions(24);
+  dev.plan_cache_shards = 2;
+  dev.plan_store_path = (root / "dev").string();
+  // Seed dev's store from a throwaway server, so the live one can store-hit.
+  {
+    ServiceFixture seeder({{"scrape-dev", SmallCluster(1, 2), dev}});
+    ASSERT_TRUE(seeder.Client("scrape-dev")->Plan({40, 20}, MaskSpec::Causal()).ok());
+  }
+  ServiceFixture service({{"scrape-prod", SmallCluster(1, 2), prod},
+                          {"scrape-dev", SmallCluster(1, 2), dev}});
+
+  std::unique_ptr<PlanClient> client = service.Client("scrape-prod");
+  ASSERT_TRUE(client->Plan({64, 32}, MaskSpec::Causal()).ok());  // Cold plan.
   ASSERT_TRUE(client->Plan({64, 32}, MaskSpec::Causal()).ok());  // Client-cache hit.
   client->ClearCache();
   ASSERT_TRUE(client->Plan({64, 32}, MaskSpec::Causal()).ok());  // Server-cache hit.
+  ASSERT_TRUE(client->Plan({48, 16}, MaskSpec::Causal()).ok());  // Second cold plan.
+  std::unique_ptr<PlanClient> dev_client = service.Client("scrape-dev");
+  ASSERT_TRUE(dev_client->Plan({40, 20}, MaskSpec::Causal()).ok());  // Store hit.
+  EXPECT_EQ(dev_client->last_source(), PlanServeSource::kStoreCache);
 
-  StatusOr<PlanServiceStatsResponse> stats = client->ServerStats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats.value().code, StatusCode::kOk);
-  EXPECT_GE(stats.value().requests_received, 3);  // 2 plans + the stats RPC itself.
-  ASSERT_EQ(stats.value().tenants.size(), 2u);  // Sorted: dev, prod.
-  EXPECT_EQ(stats.value().tenants[0].tenant, "dev");
-  EXPECT_EQ(stats.value().tenants[1].tenant, "prod");
-  EXPECT_EQ(stats.value().tenants[1].requests, 2);
-  EXPECT_EQ(stats.value().tenants[1].cache_hits, 1);    // The server-cache hit.
-  EXPECT_EQ(stats.value().tenants[1].cache_misses, 1);  // The cold plan.
-  EXPECT_EQ(stats.value().tenants[0].requests, 0);
+  StatusOr<PlanServiceMetricsResponse> scrape = client->ServerMetrics("dcp_");
+  ASSERT_TRUE(scrape.ok()) << scrape.status().ToString();
+  ASSERT_EQ(scrape.value().code, StatusCode::kOk);
+  const std::string& text = scrape.value().text;
+  const std::string prod_label = "tenant=\"scrape-prod\"";
+  const std::string dev_label = "tenant=\"scrape-dev\"";
 
-  // Filtered stats: one tenant; unknown tenant is NOT_FOUND.
-  StatusOr<PlanServiceStatsResponse> filtered = client->ServerStats("prod");
-  ASSERT_TRUE(filtered.ok());
-  ASSERT_EQ(filtered.value().tenants.size(), 1u);
-  EXPECT_EQ(filtered.value().tenants[0].tenant, "prod");
-  StatusOr<PlanServiceStatsResponse> missing = client->ServerStats("nobody");
-  ASSERT_TRUE(missing.ok());
-  EXPECT_EQ(missing.value().code, StatusCode::kNotFound);
+  // Server-side request routing, per tenant.
+  EXPECT_GE(Scraped(text, "dcp_server_requests_received_total"), 4);
+  EXPECT_EQ(Scraped(text, "dcp_server_tenant_requests_total", prod_label), 3);
+  EXPECT_EQ(Scraped(text, "dcp_server_tenant_requests_total", dev_label), 1);
+  EXPECT_EQ(Scraped(text, "dcp_server_tenant_plan_errors_total", prod_label), 0);
+  // Engine cache counters, summed over each tenant's two shards.
+  EXPECT_EQ(Scraped(text, "dcp_engine_cache_hits_total", prod_label), 1);
+  EXPECT_EQ(Scraped(text, "dcp_engine_cache_misses_total", prod_label), 2);
+  EXPECT_EQ(Scraped(text, "dcp_engine_cache_entries", prod_label), 2);
+  EXPECT_EQ(Scraped(text, "dcp_engine_cache_evictions_total", prod_label), 0);
+  EXPECT_EQ(Scraped(text, "dcp_engine_cache_hits_total", dev_label), 0);
+  EXPECT_EQ(Scraped(text, "dcp_engine_cache_misses_total", dev_label), 1);
+  EXPECT_EQ(Scraped(text, "dcp_engine_cache_entries", dev_label), 1);
+  // Plan-store counters: prod wrote both fresh plans through; dev served from disk.
+  EXPECT_EQ(Scraped(text, "dcp_store_writes_total", prod_label), 2);
+  EXPECT_EQ(Scraped(text, "dcp_store_hits_total", prod_label), 0);
+  EXPECT_EQ(Scraped(text, "dcp_store_hits_total", dev_label), 1);
+  EXPECT_EQ(Scraped(text, "dcp_store_writes_total", dev_label), 0);
+  EXPECT_EQ(Scraped(text, "dcp_store_corrupt_skipped_total", dev_label), 0);
+  // The in-process snapshot reads the same instruments.
+  const PlanCacheStats prod_cache = service.registry->Find("scrape-prod")->cache_stats();
+  EXPECT_EQ(prod_cache.entries, 2);
+  EXPECT_EQ(prod_cache.hits, 1);
+  fs::remove_all(root);
 }
 
 TEST(PlanService, DataLoaderRunsTransparentlyOverRemotePlanner) {
@@ -386,7 +432,7 @@ TEST(PlanService, DataLoaderRunsTransparentlyOverRemotePlanner) {
     PlannedIteration remote = remote_loader.Next();
     PlannedIteration local = local_loader.Next();
     EXPECT_EQ(remote.batch.seqlens, local.batch.seqlens) << "iteration " << iter;
-    EXPECT_EQ(SerializeTimeless(remote.plan()), SerializeTimeless(local.plan()))
+    EXPECT_EQ(Timeless(remote.plan()), Timeless(local.plan()))
         << "iteration " << iter;
   }
 }
@@ -432,12 +478,13 @@ TEST(PlanService, PerTenantQuotaShedsOnlyTheNoisyTenant) {
   burst.join();
 
   EXPECT_GE(service.server->stats().shed_quota, 1);
-  // Per-tenant shed counts surface through the stats RPC.
-  StatusOr<PlanServiceStatsResponse> stats = quiet->ServerStats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  ASSERT_EQ(stats.value().tenants.size(), 2u);  // Sorted: noisy, quiet.
-  EXPECT_GE(stats.value().tenants[0].shed_quota, 1);
-  EXPECT_EQ(stats.value().tenants[1].shed_quota, 0);
+  // Per-tenant shed counts surface in the scrape.
+  StatusOr<PlanServiceMetricsResponse> scrape =
+      quiet->ServerMetrics("dcp_server_tenant_shed_quota_total");
+  ASSERT_TRUE(scrape.ok()) << scrape.status().ToString();
+  const std::string& text = scrape.value().text;
+  EXPECT_GE(Scraped(text, "dcp_server_tenant_shed_quota_total", "tenant=\"noisy\""), 1);
+  EXPECT_EQ(Scraped(text, "dcp_server_tenant_shed_quota_total", "tenant=\"quiet\""), 0);
 }
 
 TEST(PlanService, ExpiredDeadlinesAreShedUnplanned) {
@@ -464,7 +511,6 @@ TEST(PlanService, ExpiredDeadlinesAreShedUnplanned) {
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_GE(service.server->stats().shed_deadline, 1);
-  EXPECT_GE(service.server->BuildStatsResponse("").shed_deadline, 1);
 }
 
 TEST(PlanService, GossipReplicatesRecordsAcrossPeers) {
@@ -499,8 +545,8 @@ TEST(PlanService, GossipReplicatesRecordsAcrossPeers) {
   ASSERT_TRUE(from_b.ok()) << from_b.status().ToString();
   EXPECT_EQ(client_b->last_source(), PlanServeSource::kReplicaCache);
   EXPECT_TRUE(from_b.value()->signature == planned_on_a->signature);
-  EXPECT_EQ(SerializeTimeless(from_b.value()->plan),
-            SerializeTimeless(planned_on_a->plan));
+  EXPECT_EQ(Timeless(from_b.value()->plan),
+            Timeless(planned_on_a->plan));
   EXPECT_GE(replica_b.server->stats().replica_cache_hits, 1);
   EXPECT_EQ(replica_b.registry->Find("prod")->cache_stats().misses, 0);
 }
@@ -636,21 +682,50 @@ TEST(PlanService, OverloadedNonPlanRequestsGetTypeMatchedReplies) {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_EQ(response.value().code, StatusCode::kUnavailable);
   }
-  // Stats rejections stay type-matched too.
+  // Metrics rejections stay type-matched too.
   {
     Socket raw = ConnectSocket(service.server->bound_address()).value();
-    ASSERT_TRUE(WriteFrame(raw, FrameType::kStatsRequest,
-                           SerializePlanServiceStatsRequest({""}))
+    ASSERT_TRUE(WriteFrame(raw, FrameType::kMetricsRequest,
+                           SerializePlanServiceMetricsRequest({""}))
                     .ok());
     StatusOr<Frame> reply = ReadFrame(raw);
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-    EXPECT_EQ(reply.value().type, FrameType::kStatsResponse);
-    StatusOr<PlanServiceStatsResponse> response =
-        DeserializePlanServiceStatsResponse(reply.value().payload);
+    EXPECT_EQ(reply.value().type, FrameType::kMetricsResponse);
+    StatusOr<PlanServiceMetricsResponse> response =
+        DeserializePlanServiceMetricsResponse(reply.value().payload);
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_EQ(response.value().code, StatusCode::kUnavailable);
   }
   EXPECT_GE(service.server->stats().rejected_overload, 2);
+}
+
+// Frame types 3 and 4 carried a stats RPC that the metrics scrape replaced. They stay
+// unassigned: a peer still sending them gets a well-formed INVALID_ARGUMENT error
+// frame, and the connection keeps serving plan requests.
+TEST(PlanService, RetiredFrameTypesAreRejectedAndTheConnectionSurvives) {
+  ServiceFixture service({{"prod", SmallCluster(1, 2), SmallEngineOptions(16)}});
+  Socket raw = ConnectSocket(service.server->bound_address()).value();
+  for (const uint32_t retired : {3u, 4u}) {
+    ASSERT_TRUE(WriteFrame(raw, static_cast<FrameType>(retired), "").ok());
+    StatusOr<Frame> reply = ReadFrame(raw);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply.value().type, FrameType::kErrorResponse);
+    StatusOr<PlanServiceResponse> error =
+        DeserializePlanServiceResponse(reply.value().payload);
+    ASSERT_TRUE(error.ok()) << error.status().ToString();
+    EXPECT_EQ(error.value().code, StatusCode::kInvalidArgument) << "frame type " << retired;
+  }
+  ASSERT_TRUE(WriteFrame(raw, FrameType::kPlanRequest,
+                         SerializePlanServiceRequest(
+                             {"prod", {64, 32}, MaskSpec::Causal(), 0}))
+                  .ok());
+  StatusOr<Frame> reply = ReadFrame(raw);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply.value().type, FrameType::kPlanResponse);
+  StatusOr<PlanServiceResponse> plan = DeserializePlanServiceResponse(reply.value().payload);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan.value().code, StatusCode::kOk) << plan.value().message;
+  EXPECT_FALSE(plan.value().record.empty());
 }
 
 TEST(PlanService, SlowReadersAreShedWholeConnectionsOnly) {
@@ -759,8 +834,8 @@ TEST(PlanService, PollBackendServesIdenticallyToEpoll) {
   std::unique_ptr<PlanClient> client = service.Client("prod");
   StatusOr<PlanHandle> remote = client->Plan(seqlens, mask);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  EXPECT_EQ(SerializeTimeless(remote.value()->plan),
-            SerializeTimeless(local.Plan(seqlens, mask).value()->plan));
+  EXPECT_EQ(Timeless(remote.value()->plan),
+            Timeless(local.Plan(seqlens, mask).value()->plan));
 }
 
 TEST(PlanService, WarmServesAreZeroCopy) {

@@ -27,6 +27,7 @@ using plan_test::GeneratedCase;
 using plan_test::GenerateCase;
 using plan_test::MakeOptions;
 using plan_test::SmallMaskSpec;
+using plan_test::Timeless;
 
 class PlanStoreTest : public ::testing::Test {
  protected:
@@ -44,11 +45,6 @@ class PlanStoreTest : public ::testing::Test {
 
   fs::path dir_;
 };
-
-std::string CanonicalSerialized(BatchPlan plan) {
-  plan.stats.planning_seconds = 0.0;  // The only legitimately run-dependent field.
-  return SerializePlan(plan);
-}
 
 struct PlannedCase {
   GeneratedCase c;
@@ -98,9 +94,8 @@ TEST(PlanBinaryCodec, RandomizedPlansRoundTripBitIdentical) {
     const std::string bytes = SerializePlanBinary(p.plan);
     StatusOr<BatchPlan> restored = DeserializePlanBinary(bytes);
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    // Bit-identical through the canonical text serialization, and the binary form
-    // itself re-serializes byte-identically.
-    EXPECT_EQ(SerializePlan(restored.value()), SerializePlan(p.plan));
+    // Member-wise identical, and the binary form itself re-serializes byte-identically.
+    EXPECT_EQ(restored.value(), p.plan);
     EXPECT_EQ(SerializePlanBinary(restored.value()), bytes);
   }
 }
@@ -182,7 +177,7 @@ TEST_F(PlanStoreTest, RecordSurvivesRoundTripAndRejectsEveryBitFlip) {
   StatusOr<std::pair<PlanSignature, BatchPlan>> decoded = PlanStore::DecodeRecord(record);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().first, sig);
-  EXPECT_EQ(SerializePlan(decoded.value().second), SerializePlan(p.plan));
+  EXPECT_EQ(decoded.value().second, p.plan);
 
   // Every single-bit flip anywhere in the record — header, sections, payload, or the
   // CRC trailer itself — must be caught (the checksum covers everything else, and the
@@ -234,7 +229,7 @@ TEST_F(PlanStoreTest, UnknownSectionsAreSkippedForForwardCompatibility) {
   StatusOr<std::pair<PlanSignature, BatchPlan>> decoded =
       PlanStore::DecodeRecord(extended);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(SerializePlan(decoded.value().second), SerializePlan(p.plan));
+  EXPECT_EQ(decoded.value().second, p.plan);
 }
 
 TEST_F(PlanStoreTest, PutLoadContainsAndReopen) {
@@ -261,7 +256,7 @@ TEST_F(PlanStoreTest, PutLoadContainsAndReopen) {
   ASSERT_TRUE(reopened.value()->Contains(sig));
   StatusOr<BatchPlan> loaded = reopened.value()->Load(sig);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(SerializePlan(loaded.value()), SerializePlan(p.plan));
+  EXPECT_EQ(loaded.value(), p.plan);
   EXPECT_EQ(reopened.value()->stats().hits, 1);
 
   // Storing under the zero signature is rejected (it is the "no signature" sentinel).
@@ -346,13 +341,13 @@ TEST_F(PlanStoreTest, SecondEngineOnSamePathServesStoreHitsBitIdenticalToFreshPl
   engine_options.planner_threads = 1;
   engine_options.plan_store_path = StorePath();
 
-  std::string first_canonical;
+  BatchPlan first_canonical;
   {
     Engine writer(cluster, engine_options);
     ASSERT_TRUE(writer.store_status().ok()) << writer.store_status().ToString();
     StatusOr<PlanHandle> handle = writer.Plan(c.seqlens, spec);
     ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-    first_canonical = CanonicalSerialized(handle.value()->plan);
+    first_canonical = Timeless(handle.value()->plan);
     const PlanCacheStats stats = writer.cache_stats();
     EXPECT_EQ(stats.store_writes, 1);
     EXPECT_EQ(stats.store_hits, 0);
@@ -369,11 +364,11 @@ TEST_F(PlanStoreTest, SecondEngineOnSamePathServesStoreHitsBitIdenticalToFreshPl
     EXPECT_EQ(stats.store_writes, 0);
     EXPECT_EQ(stats.misses, 1);
   }
-  EXPECT_EQ(CanonicalSerialized(warm.value()->plan), first_canonical);
+  EXPECT_EQ(Timeless(warm.value()->plan), first_canonical);
 
   std::vector<SequenceMask> masks = BuildBatchMasks(spec, c.seqlens);
   BatchPlan fresh = PlanBatch(c.seqlens, masks, cluster, engine_options.planner);
-  EXPECT_EQ(CanonicalSerialized(warm.value()->plan), CanonicalSerialized(fresh));
+  EXPECT_EQ(Timeless(warm.value()->plan), Timeless(fresh));
 
   // The store-served handle carries usable masks (derived, not persisted).
   ASSERT_EQ(warm.value()->masks.size(), c.seqlens.size());
@@ -402,12 +397,12 @@ TEST_F(PlanStoreTest, EngineSkipsCorruptStoreRecordAndRecovers) {
   engine_options.planner_threads = 1;
   engine_options.plan_store_path = StorePath();
 
-  std::string canonical;
+  BatchPlan canonical;
   {
     Engine writer(cluster, engine_options);
     StatusOr<PlanHandle> handle = writer.Plan(c.seqlens, spec);
     ASSERT_TRUE(handle.ok());
-    canonical = CanonicalSerialized(handle.value()->plan);
+    canonical = Timeless(handle.value()->plan);
   }
   // Truncate the record to simulate a torn write under an old (pre-atomic) writer.
   const PlanSignature sig = ComputePlanSignature(c.seqlens, spec, cluster,
@@ -423,14 +418,14 @@ TEST_F(PlanStoreTest, EngineSkipsCorruptStoreRecordAndRecovers) {
   EXPECT_EQ(stats.store_corrupt_skipped, 1);
   EXPECT_EQ(stats.store_hits, 0);
   // The replanned result is correct and was written back, healing the store.
-  EXPECT_EQ(CanonicalSerialized(replanned.value()->plan), canonical);
+  EXPECT_EQ(Timeless(replanned.value()->plan), canonical);
   EXPECT_EQ(stats.store_writes, 1);
 
   Engine healed(cluster, engine_options);
   StatusOr<PlanHandle> warm = healed.Plan(c.seqlens, spec);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(healed.cache_stats().store_hits, 1);
-  EXPECT_EQ(CanonicalSerialized(warm.value()->plan), canonical);
+  EXPECT_EQ(Timeless(warm.value()->plan), canonical);
 }
 
 TEST_F(PlanStoreTest, BundleExportImportMovesRecordsBetweenStores) {
@@ -463,8 +458,8 @@ TEST_F(PlanStoreTest, BundleExportImportMovesRecordsBetweenStores) {
   StatusOr<BatchPlan> loaded_b = dst.value()->Load(sig_b);
   ASSERT_TRUE(loaded_a.ok());
   ASSERT_TRUE(loaded_b.ok());
-  EXPECT_EQ(SerializePlan(loaded_a.value()), SerializePlan(a.plan));
-  EXPECT_EQ(SerializePlan(loaded_b.value()), SerializePlan(b.plan));
+  EXPECT_EQ(loaded_a.value(), a.plan);
+  EXPECT_EQ(loaded_b.value(), b.plan);
 
   // A truncated bundle is a clean DATA_LOSS error.
   fs::resize_file(bundle, fs::file_size(bundle) - 5);

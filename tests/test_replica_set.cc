@@ -21,9 +21,12 @@
 #include "service/replica_set.h"
 #include "service/tenant_registry.h"
 #include "service/transport.h"
+#include "tests/plan_test_util.h"
 
 namespace dcp {
 namespace {
+
+using plan_test::Timeless;
 
 ClusterSpec SmallCluster(int nodes, int devices) {
   ClusterSpec cluster;
@@ -41,12 +44,6 @@ EngineOptions SmallEngineOptions(int64_t block_size, uint64_t seed = 7) {
   options.planner.divisions = 3;
   options.planner.seed = seed;
   return options;
-}
-
-std::string SerializeTimeless(const BatchPlan& plan) {
-  BatchPlan copy = plan;
-  copy.stats.planning_seconds = 0.0;
-  return SerializePlan(copy);
 }
 
 // One member of a loopback fleet: a PlanServer with the shared tenant config.
@@ -226,7 +223,7 @@ TEST(ReplicaSet, FailsOverMidFrameToBitIdenticalSecondary) {
   Engine local(cluster, engine_options);
   const PlanHandle expected = local.Plan(seqlens, mask).value();
   EXPECT_TRUE(plan.value()->signature == expected->signature);
-  EXPECT_EQ(SerializeTimeless(plan.value()->plan), SerializeTimeless(expected->plan));
+  EXPECT_EQ(Timeless(plan.value()->plan), Timeless(expected->plan));
 
   const ReplicaSetStats stats = set->stats();
   EXPECT_GE(stats.failovers, 1);
@@ -280,8 +277,8 @@ TEST(ReplicaSet, KillingThePrimaryMidRunLosesZeroRequests) {
   for (const auto& shape : shapes) {
     StatusOr<PlanHandle> plan = set->Plan(shape, mask);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    EXPECT_EQ(SerializeTimeless(plan.value()->plan),
-              SerializeTimeless(local.Plan(shape, mask).value()->plan));
+    EXPECT_EQ(Timeless(plan.value()->plan),
+              Timeless(local.Plan(shape, mask).value()->plan));
   }
   EXPECT_GE(set->stats().failovers, 1);
   EXPECT_FALSE(set->health(victim).available);
@@ -329,8 +326,8 @@ TEST(ReplicaSet, HedgedRequestBeatsAStragglingPrimary) {
   EXPECT_EQ(stats.hedge_wins, 1);
   EXPECT_LT(elapsed.count(), 300);
   Engine local(cluster, engine_options);
-  EXPECT_EQ(SerializeTimeless(plan.value()->plan),
-            SerializeTimeless(local.Plan(seqlens, mask).value()->plan));
+  EXPECT_EQ(Timeless(plan.value()->plan),
+            Timeless(local.Plan(seqlens, mask).value()->plan));
 }
 
 TEST(ReplicaSet, HedgeBudgetBoundsHedgeVolume) {
@@ -398,8 +395,8 @@ TEST(ReplicaSet, FallsBackToLocalPlanningOnTotalFleetLoss) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
 
   Engine local(cluster, engine_options);
-  EXPECT_EQ(SerializeTimeless(plan.value()->plan),
-            SerializeTimeless(local.Plan(seqlens, mask).value()->plan));
+  EXPECT_EQ(Timeless(plan.value()->plan),
+            Timeless(local.Plan(seqlens, mask).value()->plan));
   const ReplicaSetStats stats = set->stats();
   EXPECT_GE(stats.local_fallbacks, 1);
   EXPECT_FALSE(set->health(0).available);
@@ -508,8 +505,8 @@ TEST(ReplicaSet, ChaosWorkloadLosesZeroRequests) {
     StatusOr<PlanHandle> plan = set->Plan(seqlens, mask);
     ASSERT_TRUE(plan.ok()) << "request " << i << " lost under chaos seed " << seed
                            << ": " << plan.status().ToString();
-    EXPECT_EQ(SerializeTimeless(plan.value()->plan),
-              SerializeTimeless(local.Plan(seqlens, mask).value()->plan))
+    EXPECT_EQ(Timeless(plan.value()->plan),
+              Timeless(local.Plan(seqlens, mask).value()->plan))
         << "request " << i << " diverged under chaos seed " << seed;
     ++served;
   }

@@ -51,16 +51,13 @@ PlanServiceRequest MakeRequest() {
   return request;
 }
 
-void ExpectRequestsEqual(const PlanServiceRequest& a, const PlanServiceRequest& b) {
+void ExpectRequestMatches(const PlanServiceRequest& a, const PlanServiceRequestView& b) {
   EXPECT_EQ(a.tenant, b.tenant);
-  EXPECT_EQ(a.seqlens, b.seqlens);
-  EXPECT_EQ(a.mask_spec.kind, b.mask_spec.kind);
-  EXPECT_EQ(a.mask_spec.sink_tokens, b.mask_spec.sink_tokens);
-  EXPECT_EQ(a.mask_spec.window_tokens, b.mask_spec.window_tokens);
-  EXPECT_EQ(a.mask_spec.icl_block_tokens, b.mask_spec.icl_block_tokens);
-  EXPECT_EQ(a.mask_spec.num_answers, b.mask_spec.num_answers);
-  EXPECT_DOUBLE_EQ(a.mask_spec.answer_fraction, b.mask_spec.answer_fraction);
+  EXPECT_EQ(a.seqlens, std::vector<int64_t>(b.seqlens.begin(), b.seqlens.end()));
+  EXPECT_TRUE(a.mask_spec == b.mask_spec);
   EXPECT_EQ(a.block_size, b.block_size);
+  EXPECT_EQ(a.deadline_ms, b.deadline_ms);
+  EXPECT_EQ(a.trace_id, b.trace_id);
 }
 
 TEST(ServiceMessages, PlanRequestRoundTripsForEveryMaskKind) {
@@ -68,21 +65,26 @@ TEST(ServiceMessages, PlanRequestRoundTripsForEveryMaskKind) {
     PlanServiceRequest request = MakeRequest();
     request.mask_spec = MaskSpec::ForKind(kind);
     const std::string bytes = SerializePlanServiceRequest(request);
-    StatusOr<PlanServiceRequest> decoded = DeserializePlanServiceRequest(bytes);
+    Arena arena;
+    StatusOr<PlanServiceRequestView> decoded =
+        DeserializePlanServiceRequestView(bytes, &arena);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    ExpectRequestsEqual(request, decoded.value());
+    ExpectRequestMatches(request, decoded.value());
   }
 }
 
 TEST(ServiceMessages, PlanRequestTruncationAlwaysRejected) {
   const std::string bytes = SerializePlanServiceRequest(MakeRequest());
   for (size_t len = 0; len < bytes.size(); ++len) {
-    StatusOr<PlanServiceRequest> decoded =
-        DeserializePlanServiceRequest(bytes.substr(0, len));
-    EXPECT_FALSE(decoded.ok()) << "prefix of " << len << " bytes decoded";
+    Arena arena;
+    EXPECT_FALSE(
+        DeserializePlanServiceRequestView(std::string_view(bytes).substr(0, len), &arena)
+            .ok())
+        << "prefix of " << len << " bytes decoded";
   }
   // Trailing garbage is rejected too.
-  EXPECT_FALSE(DeserializePlanServiceRequest(bytes + "x").ok());
+  Arena arena;
+  EXPECT_FALSE(DeserializePlanServiceRequestView(bytes + "x", &arena).ok());
 }
 
 TEST(ServiceMessages, PlanRequestBitFlipsNeverCrash) {
@@ -93,7 +95,8 @@ TEST(ServiceMessages, PlanRequestBitFlipsNeverCrash) {
       corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
       // Must return (ok or not), never abort; a flip that survives decoding must be a
       // flip that changed a value, not the structure.
-      (void)DeserializePlanServiceRequest(corrupt);
+      Arena arena;
+      (void)DeserializePlanServiceRequestView(corrupt, &arena);
     }
   }
 }
@@ -130,43 +133,6 @@ TEST(ServiceMessages, PlanResponseRoundTripsAndValidates) {
   EXPECT_EQ(decoded_error.value().message, "server overloaded");
 }
 
-TEST(ServiceMessages, StatsResponseRoundTrips) {
-  PlanServiceStatsResponse response;
-  response.connections_accepted = 3;
-  response.requests_received = 41;
-  response.responses_sent = 40;
-  response.rejected_overload = 1;
-  response.malformed_frames = 2;
-  for (int t = 0; t < 3; ++t) {
-    PlanServiceTenantStats tenant;
-    tenant.tenant = "tenant-" + std::to_string(t);
-    tenant.requests = 10 + t;
-    tenant.cache_hits = 5 * t;
-    tenant.cache_misses = 7 - t;
-    tenant.store_writes = t;
-    response.tenants.push_back(tenant);
-  }
-  const std::string bytes = SerializePlanServiceStatsResponse(response);
-  StatusOr<PlanServiceStatsResponse> decoded =
-      DeserializePlanServiceStatsResponse(bytes);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded.value().requests_received, 41);
-  ASSERT_EQ(decoded.value().tenants.size(), 3u);
-  EXPECT_EQ(decoded.value().tenants[1].tenant, "tenant-1");
-  EXPECT_EQ(decoded.value().tenants[1].requests, 11);
-  EXPECT_EQ(decoded.value().tenants[2].cache_hits, 10);
-
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_FALSE(DeserializePlanServiceStatsResponse(bytes.substr(0, len)).ok());
-  }
-
-  const std::string stats_req =
-      SerializePlanServiceStatsRequest(PlanServiceStatsRequest{"prod"});
-  StatusOr<PlanServiceStatsRequest> req = DeserializePlanServiceStatsRequest(stats_req);
-  ASSERT_TRUE(req.ok());
-  EXPECT_EQ(req.value().tenant, "prod");
-}
-
 // A connected AF_UNIX socket pair wrapped in the transport's Socket class, for framing
 // tests without a listener.
 std::pair<Socket, Socket> MakeSocketPair() {
@@ -185,7 +151,7 @@ TEST(ServiceFrame, RoundTripsOverSocket) {
   EXPECT_EQ(frame.value().payload, payload);
 
   // Empty payloads frame fine too.
-  ASSERT_TRUE(WriteFrame(b, FrameType::kStatsRequest, "").ok());
+  ASSERT_TRUE(WriteFrame(b, FrameType::kMetricsRequest, "").ok());
   StatusOr<Frame> empty = ReadFrame(a);
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(empty.value().payload, "");
@@ -253,7 +219,7 @@ TEST(ServiceTransport, ListenerRoundTripAndEphemeralPort) {
   StatusOr<Socket> served = listener.value().Accept(/*timeout_ms=*/2000);
   ASSERT_TRUE(served.ok()) << served.status().ToString();
 
-  ASSERT_TRUE(WriteFrame(client.value(), FrameType::kStatsRequest, "ping").ok());
+  ASSERT_TRUE(WriteFrame(client.value(), FrameType::kMetricsRequest, "ping").ok());
   StatusOr<Frame> frame = ReadFrame(served.value());
   ASSERT_TRUE(frame.ok());
   EXPECT_EQ(frame.value().payload, "ping");
@@ -318,31 +284,17 @@ TEST(ServiceMessages, RequestViewDecodesIdenticallyInOneArenaBlock) {
   StatusOr<PlanServiceRequestView> view =
       DeserializePlanServiceRequestView(bytes, &arena);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_EQ(view.value().tenant, request.tenant);
-  EXPECT_EQ(std::vector<int64_t>(view.value().seqlens.begin(),
-                                 view.value().seqlens.end()),
-            request.seqlens);
-  EXPECT_EQ(view.value().mask_spec.kind, request.mask_spec.kind);
-  EXPECT_EQ(view.value().block_size, request.block_size);
-  EXPECT_EQ(view.value().deadline_ms, request.deadline_ms);
+  ExpectRequestMatches(request, view.value());
   // Zero-copy decode: the tenant aliases the wire bytes and the seqlens are one
   // exactly-sized arena array — one block, no per-field heap allocations.
   EXPECT_GE(view.value().tenant.data(), bytes.data());
   EXPECT_LT(view.value().tenant.data(), bytes.data() + bytes.size());
   EXPECT_EQ(arena.block_count(), 1u);
-
-  // Same validation as the owning decoder: every truncation rejected.
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    Arena scratch;
-    EXPECT_FALSE(
-        DeserializePlanServiceRequestView(bytes.substr(0, len), &scratch).ok())
-        << "prefix of " << len << " bytes decoded";
-  }
 }
 
 TEST(ServiceFrame, AssemblerReassemblesFramesFedByteByByte) {
   const std::string first = EncodeFrame(FrameType::kPlanRequest, "alpha");
-  const std::string second = EncodeFrame(FrameType::kStatsRequest, "");
+  const std::string second = EncodeFrame(FrameType::kMetricsRequest, "");
   const std::string third =
       EncodeFrame(FrameType::kPlanResponse, std::string(1000, 'r'));
   const std::string stream = first + second + third;
@@ -363,7 +315,7 @@ TEST(ServiceFrame, AssemblerReassemblesFramesFedByteByByte) {
   ASSERT_EQ(frames.size(), 3u);
   EXPECT_EQ(frames[0].type, FrameType::kPlanRequest);
   EXPECT_EQ(frames[0].payload, "alpha");
-  EXPECT_EQ(frames[1].type, FrameType::kStatsRequest);
+  EXPECT_EQ(frames[1].type, FrameType::kMetricsRequest);
   EXPECT_EQ(frames[1].payload, "");
   EXPECT_EQ(frames[2].payload, std::string(1000, 'r'));
   EXPECT_EQ(assembler.buffered_bytes(), 0u);
@@ -402,50 +354,29 @@ TEST(ServiceFrame, AssemblerRejectsBadHeaderBeforePayloadArrives) {
   EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss);
 }
 
-TEST(ServiceMessages, PlanRequestTraceIdRoundTripsAndV2StillParses) {
+TEST(ServiceMessages, PlanRequestTraceIdRoundTripsAndOnlyTheCurrentVersionParses) {
   PlanServiceRequest request = MakeRequest();
   request.trace_id = 0xabcdef0123456789ULL;
   const std::string bytes = SerializePlanServiceRequest(request);
-  StatusOr<PlanServiceRequest> decoded = DeserializePlanServiceRequest(bytes);
+  Arena arena;
+  StatusOr<PlanServiceRequestView> decoded =
+      DeserializePlanServiceRequestView(bytes, &arena);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded.value().trace_id, request.trace_id);
+  ExpectRequestMatches(request, decoded.value());
 
-  // A v2 peer's encoding is exactly the v3 body minus the trailing trace id,
-  // with the leading version word patched down. It must still parse, with
-  // trace_id defaulting to 0 (= "untraced").
-  ASSERT_GT(bytes.size(), 12u);
+  // Every writer in the tree emits version 3, so a body at any other version is
+  // DATA_LOSS — including a v2-shaped body (the v3 body minus its trace-id trailer).
   std::string v2 = bytes.substr(0, bytes.size() - 8);
   v2[0] = 2;
-  v2[1] = v2[2] = v2[3] = 0;
-  StatusOr<PlanServiceRequest> old = DeserializePlanServiceRequest(v2);
-  ASSERT_TRUE(old.ok()) << old.status().ToString();
-  ExpectRequestsEqual(request, old.value());
-  EXPECT_EQ(old.value().trace_id, 0u);
-
-  // The zero-copy view decoder applies the same version gate.
-  Arena arena;
-  StatusOr<PlanServiceRequestView> view =
-      DeserializePlanServiceRequestView(v2, &arena);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_EQ(view.value().trace_id, 0u);
-  Arena arena_v3;
-  StatusOr<PlanServiceRequestView> view_v3 =
-      DeserializePlanServiceRequestView(bytes, &arena_v3);
-  ASSERT_TRUE(view_v3.ok());
-  EXPECT_EQ(view_v3.value().trace_id, request.trace_id);
-
-  // A message claiming v2 but carrying the v3 trailer has trailing garbage.
-  std::string v2_with_trailer = bytes;
-  v2_with_trailer[0] = 2;
-  EXPECT_FALSE(DeserializePlanServiceRequest(v2_with_trailer).ok());
-
-  // Versions outside [min, current] are rejected in both directions.
-  std::string v1 = v2;
-  v1[0] = 1;
-  EXPECT_FALSE(DeserializePlanServiceRequest(v1).ok());
-  std::string v4 = bytes;
-  v4[0] = 4;
-  EXPECT_FALSE(DeserializePlanServiceRequest(v4).ok());
+  for (const std::string& other : {v2, std::string(1, '\x02') + bytes.substr(1),
+                                   std::string(1, '\x01') + bytes.substr(1),
+                                   std::string(1, '\x04') + bytes.substr(1)}) {
+    Arena scratch;
+    StatusOr<PlanServiceRequestView> rejected =
+        DeserializePlanServiceRequestView(other, &scratch);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 TEST(ServiceMessages, MetricsMessagesRoundTripAndRejectTruncation) {
